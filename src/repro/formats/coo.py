@@ -110,37 +110,23 @@ class COOMatrix(SparseMatrix):
         """Return the sorted, duplicate-accumulated (and optionally
         zero-pruned) equivalent matrix.
 
-        This is the library-level twin of the Phase IV merge; the
-        device-shaped implementation lives in :mod:`repro.kernels.merge`
-        and is tested for equivalence against this method.
+        Runs the Phase IV sort-reduce (:func:`repro.kernels.merge.sort_reduce`)
+        over this single stream, so duplicates accumulate in storage
+        order exactly as like-tuples do in the merge.
         """
-        if self.nnz == 0:
-            return self.copy()
-        keys = self.linear_keys()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        data = self.data[order]
-        head = np.empty(keys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        summed = np.add.reduceat(data, starts)
-        ukeys = keys[starts]
-        if drop_zeros:
-            keep = summed != 0.0
-            ukeys, summed = ukeys[keep], summed[keep]
-        ncols = max(self.ncols, 1)
-        return COOMatrix(self.shape, ukeys // ncols, ukeys % ncols, summed, validate=False)
+        # function-level import: the kernels package imports this module
+        from repro.kernels.merge import sort_reduce
+
+        csr = sort_reduce(self.shape, [self], drop_zeros=drop_zeros).matrix
+        return COOMatrix(self.shape, csr.expanded_rows(), csr.indices, csr.data,
+                         validate=False)
 
     # -- conversions ---------------------------------------------------------
     def tocsr(self) -> "repro.formats.csr.CSRMatrix":  # noqa: F821
-        """Convert to CSR, accumulating duplicates."""
-        from repro.formats.csr import CSRMatrix
+        """Convert to CSR, accumulating duplicates (see :meth:`canonicalize`)."""
+        from repro.kernels.merge import sort_reduce
 
-        canon = self.canonicalize(drop_zeros=False)
-        indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(np.bincount(canon.row, minlength=self.nrows), out=indptr[1:])
-        return CSRMatrix(self.shape, indptr, canon.col, canon.data, validate=False)
+        return sort_reduce(self.shape, [self]).matrix
 
     def tocsc(self) -> "repro.formats.csc.CSCMatrix":  # noqa: F821
         """Convert to CSC, accumulating duplicates."""
@@ -168,8 +154,9 @@ class COOMatrix(SparseMatrix):
 def concatenate_triplets(shape: Tuple[int, int], parts: list[COOMatrix]) -> COOMatrix:
     """Concatenate tuple streams from several producers into one COO matrix.
 
-    Used to gather the per-device partial outputs of Phases II and III
-    before the Phase IV merge.  All parts must share ``shape``.
+    Duplicates are kept, so ``concatenate_triplets(shape, parts)`` is
+    the un-merged input of the Phase IV merge (which itself writes the
+    parts straight into its sort buffers).  All parts must share ``shape``.
 
     Validation is vectorised: part shapes are compared as one integer
     array instead of a Python loop, so gathering the O(units) Phase III

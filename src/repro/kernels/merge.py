@@ -1,16 +1,17 @@
 """Phase IV: merging ``<r, c, v>`` tuple streams into the final CSR.
 
-Implements the procedure of §III-D / Fig 4 of the paper, preserving its
-device-shaped structure so that each step can be cost-modelled:
+Implements the procedure of §III-D / Fig 4 of the paper, whose
+device-shaped steps the cost model charges:
 
 1. **merge/sort** — tuples from all producers are ordered by (row, col);
 2. **mark** — a flag array marks the first tuple of each like-tuple run
    (the *master index*);
 3. **scan** — an exclusive prefix sum over the flags assigns each master
-   index its output slot;
+   index its output slot (:func:`exclusive_scan`; the host path reads
+   slots off ``np.flatnonzero`` of the flags instead);
 4. **reduce** — one (virtual) thread per master index sums its run;
-5. **CSR conversion** — row pointers by counting, as in §V-D's remark
-   that Phase IV converts tuples to CSR.
+5. **CSR conversion** — row pointers, as in §V-D's remark that Phase IV
+   converts tuples to CSR.
 
 The functions report a :class:`MergeStats` record used by the cost model
 (Fig 7 shows Phase IV must stay under ~4% of total time, and Fig 10's
@@ -25,10 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.formats.base import INDEX_DTYPE
-from repro.formats.coo import COOMatrix, concatenate_triplets
+from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, check_shape
+from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.obs.metrics import METRICS
+from repro.util.errors import FormatError
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,11 @@ def mark_master_indices(keys: np.ndarray) -> np.ndarray:
 
 
 def exclusive_scan(flags: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum over an int/bool array (output slot of each run)."""
+    """Exclusive prefix sum over an int/bool array (output slot of each run).
+
+    The device-shaped scan step of Fig 4, kept for tests of the
+    mark/scan decomposition; :func:`sort_reduce` does not need it.
+    """
     out = np.zeros(flags.size, dtype=INDEX_DTYPE)
     np.cumsum(flags[:-1], out=out[1:])
     return out
@@ -100,47 +106,95 @@ def merge_tuples(
         dropped (numerical cancellation).  The paper keeps them —
         accumulators emit whatever they saw — so the default is False.
     """
-    nrows, ncols = int(shape[0]), int(shape[1])
-    merged = concatenate_triplets((nrows, ncols), list(parts))
-    tuples_in = merged.nnz
-    if tuples_in == 0:
-        empty = CSRMatrix.empty((nrows, ncols))
-        return MergeResult(empty, MergeStats(0, 0, 0, 0, 0))
-
-    keys = merged.row * INDEX_DTYPE(max(ncols, 1)) + merged.col
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = merged.data[order]
-
-    head = mark_master_indices(keys)
-    slots = exclusive_scan(head)  # kept for parity with the paper's scan step
-    masters = np.flatnonzero(head)
-    summed = np.add.reduceat(vals, masters)
-    ukeys = keys[masters]
-    run_lengths = np.diff(np.append(masters, keys.size))
-    if drop_zeros:
-        keep = summed != 0.0
-        ukeys, summed = ukeys[keep], summed[keep]
-
-    out_rows = ukeys // max(ncols, 1)
-    out_cols = ukeys % max(ncols, 1)
-    indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(out_rows, minlength=nrows), out=indptr[1:])
-    matrix = CSRMatrix((nrows, ncols), indptr, out_cols, summed, validate=False)
-
-    stats = MergeStats(
-        tuples_in=tuples_in,
-        masters=int(masters.size),
-        max_run=int(run_lengths.max()) if run_lengths.size else 0,
-        sort_ops=int(tuples_in * max(1.0, np.log2(tuples_in))),
-        reduce_ops=int(tuples_in - masters.size),
-    )
-    assert slots.size == tuples_in  # scan covers every tuple
+    result = sort_reduce(shape, parts, drop_zeros=drop_zeros)
+    stats = result.stats
     if METRICS.enabled:
         METRICS.inc("kernels.merge.calls")
         METRICS.inc("kernels.merge.tuples_in", stats.tuples_in)
         METRICS.inc("kernels.merge.reduce_ops", stats.reduce_ops)
         METRICS.inc("kernels.merge.sort_ops", stats.sort_ops)
+    return result
+
+
+def sort_reduce(
+    shape: tuple[int, int],
+    parts: Sequence[COOMatrix],
+    *,
+    drop_zeros: bool = False,
+) -> MergeResult:
+    """The merge itself, without metrics: :func:`merge_tuples` for the
+    pipeline, and the one sort-reduce behind
+    :meth:`repro.formats.coo.COOMatrix.canonicalize` / ``tocsr``.
+
+    Host notes (the simulated charge is unaffected by any of them):
+
+    - keys and values are written straight into preallocated buffers,
+      one slice per part — no concatenated triplet copy;
+    - one stable argsort orders them; every part leaves its producer
+      row-sorted, so the input is a few presorted runs and timsort
+      merges them in near-linear time;
+    - like-tuples are reduced in **stream order**: each master starts
+      at its run's first value and the remaining duplicates are added
+      one by one in production order (``np.add.at`` is unbuffered and
+      in order).  That is the scalar ``acc[k] += v`` walk, independent
+      of SIMD blocking.  On runs of two it equals the former
+      ``np.add.reduceat``, and an HH-CPU run is never longer: a row's
+      tuples come from two quadrant streams (its B_H and B_L halves),
+      each already locally merged;
+    - ``indptr`` comes from a ``searchsorted`` of each row's first key
+      over the sorted unique keys.
+    """
+    nrows, ncols = check_shape(shape)
+    # row-major key ``row << col_bits | col``: masking recovers the column
+    col_bits = INDEX_DTYPE(max(ncols - 1, 0).bit_length())
+    tuples_in = 0
+    for p in parts:
+        if p.shape != (nrows, ncols):
+            raise FormatError(f"part shape {p.shape} differs from target {(nrows, ncols)}")
+        tuples_in += p.nnz
+    if tuples_in == 0:
+        return MergeResult(CSRMatrix.empty((nrows, ncols)), MergeStats(0, 0, 0, 0, 0))
+
+    keys = np.empty(tuples_in, dtype=INDEX_DTYPE)
+    vals = np.empty(tuples_in, dtype=VALUE_DTYPE)
+    pos = 0
+    for p in parts:
+        end = pos + p.nnz
+        np.left_shift(p.row, col_bits, out=keys[pos:end])
+        keys[pos:end] |= p.col
+        vals[pos:end] = p.data
+        pos = end
+
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    head = mark_master_indices(keys)
+    masters = np.flatnonzero(head)
+    ukeys = keys[masters]
+    summed = vals[masters]
+    max_run = 1
+    if masters.size < tuples_in:
+        dups = np.flatnonzero(~head)
+        # masters at or before each duplicate, minus one: its run's slot
+        run_of = dups - np.arange(1, dups.size + 1, dtype=INDEX_DTYPE)
+        np.add.at(summed, run_of, vals[dups])
+        firsts = np.flatnonzero(np.diff(run_of, prepend=-1))
+        max_run += int(np.diff(firsts, append=run_of.size).max())
+    if drop_zeros:
+        keep = summed != 0.0
+        ukeys, summed = ukeys[keep], summed[keep]
+
+    row_starts = np.arange(nrows + 1, dtype=INDEX_DTYPE) << col_bits
+    indptr = np.searchsorted(ukeys, row_starts).astype(INDEX_DTYPE, copy=False)
+    cols = ukeys & ((INDEX_DTYPE(1) << col_bits) - 1)
+    matrix = CSRMatrix((nrows, ncols), indptr, cols, summed, validate=False)
+    stats = MergeStats(
+        tuples_in=tuples_in,
+        masters=int(masters.size),
+        max_run=max_run,
+        sort_ops=int(tuples_in * max(1.0, np.log2(tuples_in))),
+        reduce_ops=int(tuples_in - masters.size),
+    )
     return MergeResult(matrix=matrix, stats=stats)
 
 

@@ -123,16 +123,33 @@ def reuse_curve(
     get savings only in proportion to raw capacity.
     """
     refs = np.asarray(b_row_refs)
-    sizes = np.asarray(b_row_sizes)
-    hot = refs > 1
-    if not np.any(hot):
+    order = retention_order(refs)
+    return retained_reuse_curve(refs[order], np.asarray(b_row_sizes)[order])
+
+
+def retention_order(b_row_refs: np.ndarray) -> np.ndarray:
+    """B rows referenced more than once, in cache-retention order:
+    descending reference count, ties by ascending row id.
+
+    Restricting this order to a subset of rows gives the subset's own
+    retention order, so one sort serves every B class.
+    """
+    hot = np.flatnonzero(b_row_refs > 1)
+    return hot[np.argsort(-b_row_refs[hot], kind="stable")]
+
+
+def retained_reuse_curve(
+    refs: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reuse_curve` of rows already in :func:`retention_order`
+    (``refs``/``sizes`` are their reference counts and lengths)."""
+    if refs.size == 0:
         z = np.zeros(1)
         return z, z.copy()
-    refs_h = refs[hot].astype(np.float64)
-    sizes_h = sizes[hot].astype(np.float64)
-    order = np.argsort(-refs_h, kind="stable")
-    bytes_cum = np.cumsum(sizes_h[order]) * ELEM_BYTES
-    saved_cum = np.cumsum((refs_h[order] - 1.0) * sizes_h[order]) * ELEM_BYTES
+    refs_h = refs.astype(np.float64)
+    sizes_h = sizes.astype(np.float64)
+    bytes_cum = np.cumsum(sizes_h) * ELEM_BYTES
+    saved_cum = np.cumsum((refs_h - 1.0) * sizes_h) * ELEM_BYTES
     if bytes_cum.size > REUSE_CURVE_POINTS:
         idx = np.unique(
             np.linspace(0, bytes_cum.size - 1, REUSE_CURVE_POINTS).astype(np.int64)

@@ -143,6 +143,51 @@ class TestThresholdSelection:
         assert auto <= 4.0 * best
 
 
+def _operand_pairs():
+    sq = powerlaw_matrix(800, alpha=2.4, target_nnz=4_000, hub_bias=0.5, rng=21)
+    rect_a = powerlaw_matrix(300, 200, alpha=2.5, target_nnz=1_500, rng=1)
+    rect_b = powerlaw_matrix(200, 250, alpha=2.5, target_nnz=1_000, rng=2)
+    return {
+        "square": (sq, sq),
+        "rectangular": (rect_a, rect_b),
+        "uniform": (uniform_matrix(400, mean_nnz=3.0, rng=9),) * 2,
+        "empty-rows": (CSRMatrix.from_dense(np.diag([0.0, 1.0, 0.0, 2.0])),) * 2,
+    }
+
+
+class TestQuadrantStatsEquivalence:
+    """``ProductProfile.quadrant_stats`` is ``stats_for`` on the four
+    threshold masks, field for field and byte for byte."""
+
+    @pytest.mark.parametrize("pair", sorted(_operand_pairs()))
+    def test_matches_stats_for(self, pair):
+        from repro.core.threshold import ProductProfile
+
+        a, b = _operand_pairs()[pair]
+        prof = ProductProfile(a, b)
+        top = int(max(a.row_nnz().max(), b.row_nnz().max()))
+        rng = np.random.default_rng(7)
+        # on and off the candidate grid, past both ends, and t_A != t_B
+        thresholds = [(-3, -1), (0, 0), (top, top), (top + 5, 2), (1, top + 9)]
+        thresholds += [tuple(int(t) for t in rng.integers(-2, top + 3, 2)) for _ in range(25)]
+        for t_a, t_b in thresholds:
+            got = prof.quadrant_stats(t_a, t_b)
+            a_high = prof.a_sizes > t_a
+            b_high = prof.b_sizes > t_b
+            masks = {"HH": (a_high, b_high), "LL": (~a_high, ~b_high),
+                     "LH": (~a_high, b_high), "HL": (a_high, ~b_high)}
+            for quad, (am, bm) in masks.items():
+                want = prof.stats_for(am, bm)
+                have = got[quad]
+                for f in ("flops", "a_entries", "total_work", "tuples_emitted",
+                          "result_nnz", "bytes_read", "bytes_written"):
+                    assert getattr(have, f) == getattr(want, f), (t_a, t_b, quad, f)
+                assert have.row_work.dtype == want.row_work.dtype
+                assert have.row_work.tobytes() == want.row_work.tobytes()
+                for h, w in zip(have.b_reuse_curve, want.b_reuse_curve):
+                    assert h.dtype == w.dtype and h.tobytes() == w.tobytes(), (t_a, t_b, quad)
+
+
 class TestWorkUnitSizes:
     def test_invalid_unit_sizes(self):
         with pytest.raises(ValueError):
