@@ -9,18 +9,11 @@ Importing this package populates :data:`repro.lint.base.REGISTRY`:
   catalog membership and hot-path gating;
 - **UNIT001** (:mod:`~repro.lint.rules.units_rules`) — unit conversions
   at reporting boundaries only;
-- **FLT001** (:mod:`~repro.lint.rules.faults_rules`) — fault-injection
-  randomness must flow through ``repro.util.rng``;
-- **CKP001** (:mod:`~repro.lint.rules.checkpoint_rules`) — checkpoint
-  serialisation only via the versioned ``repro.jobs.snapshot`` format;
-- **EVT001** (:mod:`~repro.lint.rules.events_rules`) — structured run
-  events only via ``repro.obs.events``, never hand-rolled JSONL writes;
-- **RES001** (:mod:`~repro.lint.rules.resilience_rules`) — the
-  resilience layer draws randomness only via ``repro.util.rng`` and
-  raises only taxonomy errors;
-- **BKD001** (:mod:`~repro.lint.rules.backend_rules`) — kernel dispatch
-  in ``repro.core``/``repro.hetero`` only through the ``repro.kernels``
-  entry points, never the raw implementation modules;
+- **BKD001/CKP001/EVT001/FLT001/RES001**
+  (:mod:`~repro.lint.rules.contracts`) — layer contracts, one table row
+  each: which packages may not import, call, write or raise what (raw
+  kernel modules, ad-hoc serialisation, hand-rolled JSONL, private
+  Generators, untyped raises);
 - **CLK002/DET003/ORD001** (:mod:`~repro.lint.rules.dataflow_rules`) —
   project-scoped interprocedural taint rules, produced by the deep pass
   (``repro check --deep``; :mod:`repro.lint.dataflow`).
@@ -29,31 +22,26 @@ To add a per-file rule: subclass :class:`repro.lint.base.Rule` in a
 module here, decorate it with :func:`repro.lint.base.register`, import
 the module below, and add a fixture with one violation to
 ``tests/data/lint_fixtures`` (project-scoped rules use
-``tests/data/dataflow_fixtures`` instead).
+``tests/data/dataflow_fixtures`` instead).  To add a layer contract
+("package X must not import/call Y"), add a row to
+:data:`repro.lint.rules.contracts.CONTRACTS` and a fixture; no new
+module or import is needed.
 """
 
 from repro.lint.rules import (
-    backend_rules,
-    checkpoint_rules,
     clock,
+    contracts,
     dataflow_rules,
     determinism,
-    events_rules,
-    faults_rules,
     metrics_rules,
-    resilience_rules,
     units_rules,
 )
 
 __all__ = [
-    "backend_rules",
-    "checkpoint_rules",
     "clock",
+    "contracts",
     "dataflow_rules",
     "determinism",
-    "events_rules",
-    "faults_rules",
     "metrics_rules",
-    "resilience_rules",
     "units_rules",
 ]

@@ -16,7 +16,8 @@ from typing import Iterator
 from repro.lint.asthelpers import import_map, qualified_call_name
 from repro.lint.base import ModuleContext, RawFinding, Rule, register
 
-#: packages where only the simulated clock may advance time
+#: packages where only the simulated clock may advance time (DET001
+#: leaves ``time`` to CLK001 here to avoid double reports)
 SIM_PACKAGES = (
     "repro.core",
     "repro.kernels",
@@ -74,8 +75,8 @@ class CLK001(Rule):
     id = "CLK001"
     description = (
         "no host wall-clock calls in core/kernels/costmodel/hetero/"
-        "hardware; simulated-clock values must not flow into host-clock "
-        "span fields"
+        "hardware/service/resilience; simulated-clock values must not flow "
+        "into host-clock span fields"
     )
     example_violation = (
         "# in repro/hetero/...\n"

@@ -17,23 +17,12 @@ from repro.lint.asthelpers import (
     qualified_call_name,
 )
 from repro.lint.base import ModuleContext, RawFinding, Rule, register
+from repro.lint.rules.clock import SIM_PACKAGES
 
 #: modules allowed to touch host randomness/clocks directly: the rng
 #: plumbing itself and the observability layer (which measures real
 #: wall time by design)
 EXEMPT_PACKAGES = ("repro.util.rng", "repro.obs", "repro.lint")
-
-#: simulation packages where host-clock use is CLK001's (more specific)
-#: business — DET001 leaves ``time`` to it there to avoid double reports
-SIM_PACKAGES = (
-    "repro.core",
-    "repro.kernels",
-    "repro.costmodel",
-    "repro.hetero",
-    "repro.hardware",
-    "repro.service",
-    "repro.resilience",
-)
 
 #: numpy.random functions that mutate the hidden global RandomState
 _NP_GLOBAL_STATE = frozenset({

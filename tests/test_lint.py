@@ -363,6 +363,36 @@ class TestRuleDetails:
         result = lint_snippet(tmp_path, src, package="repro/resilience")
         assert not result.findings
 
+    @pytest.mark.parametrize("source", [
+        "from repro.kernels.esc import esc_multiply\n",
+        "from repro.kernels import esc\n",
+        "from ..kernels.spa import spa_multiply\n",
+        "import repro.kernels.hash_acc as hash_acc\n",
+    ])
+    def test_bkd001_raw_kernel_import_shapes(self, tmp_path, source):
+        for package in ("repro/core", "repro/hetero"):
+            result = lint_snippet(tmp_path, source, package=package, name="probe.py")
+            assert [f.rule for f in result.findings] == ["BKD001"], package
+
+    def test_bkd001_dispatchers_and_other_packages_are_fine(self, tmp_path):
+        dispatch = "from repro.kernels import esc_multiply, spa_multiply\n"
+        assert not lint_snippet(tmp_path, dispatch, name="probe.py").findings
+        raw = "from repro.kernels import esc\n"
+        outside = lint_snippet(tmp_path, raw, package="repro/backends", name="probe.py")
+        assert not outside.findings
+
+    def test_ckp001_tofile_on_any_receiver(self, tmp_path):
+        src = (
+            "def save(arr, state, path):\n"
+            "    arr.tofile(path)\n"
+            "    state.arrays['a'].tofile(path)\n"
+        )
+        inside = lint_snippet(tmp_path, src, package="repro/jobs", name="probe.py")
+        assert [f.rule for f in inside.findings] == ["CKP001", "CKP001"]
+        assert "`arr.tofile`" in inside.findings[0].message
+        snapshot = lint_snippet(tmp_path, src, package="repro/jobs", name="snapshot.py")
+        assert not snapshot.findings
+
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         result = lint_snippet(tmp_path, "def broken(:\n", package="repro/analysis")
         assert [f.rule for f in result.findings] == ["SYNTAX"]
