@@ -11,7 +11,8 @@ algorithm to [13].  This module provides:
   sort A's entries (:class:`ProductProfile`), then
   O((nrows_A + nrows_B) log nnz) per candidate;
 - :func:`select_threshold`, the argmin over a quantile candidate grid
-  (the library's default "empirical" pick);
+  (the library's default "empirical" pick), memoised per operand
+  structure and platform;
 - :func:`sweep_thresholds`, the full curve behind Fig 8.
 """
 
@@ -255,6 +256,12 @@ def sweep_thresholds(
     ]
 
 
+#: Phase I picks already swept, oldest first; see :func:`select_threshold`
+_PICKS: dict[tuple, tuple[int, int]] = {}
+#: entries kept before the oldest is evicted
+PICK_MEMO_SIZE = 256
+
+
 def select_threshold(
     a: CSRMatrix,
     b: CSRMatrix,
@@ -264,7 +271,30 @@ def select_threshold(
 ) -> tuple[int, int]:
     """The library's "empirical" Phase I pick: the candidate minimising
     the estimated total time.  Returns ``(t_A, t_B)`` (equal by
-    construction; callers may override either)."""
-    sweep = sweep_thresholds(a, b, platform, candidates=candidates)
-    best = min(sweep, key=lambda e: e.total)
-    return best.threshold_a, best.threshold_b
+    construction; callers may override either).
+
+    The pick depends only on the operands' structure, the device specs,
+    the calibration and the candidates, so it is memoised on exactly
+    those: an operand pair seen before (as any objects, with any values)
+    skips the sweep.  The memo holds the two ints only, never a
+    :class:`ProductProfile`, and keeps the last :data:`PICK_MEMO_SIZE`
+    picks.
+    """
+    platform = platform or default_platform()
+    key = (
+        a.structure_digest(),
+        b.structure_digest(),
+        platform.cpu.spec,
+        platform.gpu.spec,
+        platform.calibration,
+        None if candidates is None else tuple(int(t) for t in candidates),
+    )
+    pick = _PICKS.get(key)
+    if pick is None:
+        sweep = sweep_thresholds(a, b, platform, candidates=candidates)
+        best = min(sweep, key=lambda e: e.total)
+        pick = (best.threshold_a, best.threshold_b)
+        if len(_PICKS) >= PICK_MEMO_SIZE:
+            del _PICKS[next(iter(_PICKS))]
+        _PICKS[key] = pick
+    return pick

@@ -9,7 +9,8 @@ matrix, mirroring the paper ("we don't split the matrices physically").
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+import hashlib
+from typing import Any, Iterable, Tuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class CSRMatrix(SparseMatrix):
         if validate:
             self.validate(strict=False)
 
-    def _cached(self, key: str, source, compute) -> np.ndarray:
+    def _cached(self, key: str, source, compute) -> Any:
         """Invalidation-safe memo for an array derived from ``source``
         (one structural array or a tuple of them).
 
@@ -63,7 +64,8 @@ class CSRMatrix(SparseMatrix):
         ``self.indices`` (the only mutation the containers see in
         practice) makes the entry miss and recompute.  Cached arrays are
         returned read-only so an accidental in-place edit by a caller
-        fails loudly instead of corrupting every later reader.
+        fails loudly instead of corrupting every later reader; immutable
+        values (the structure digest) are stored as they are.
         """
         sources = source if isinstance(source, tuple) else (source,)
         hit = self._derived.get(key)
@@ -71,7 +73,8 @@ class CSRMatrix(SparseMatrix):
                 and len(hit[0]) == len(sources):
             return hit[1]
         value = compute()
-        value.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         self._derived[key] = (sources, value)
         return value
 
@@ -267,6 +270,27 @@ class CSRMatrix(SparseMatrix):
             return np.where(sizes == 0, 0, work).astype(INDEX_DTYPE)
 
         return self._cached("squared_row_work", (self.indptr, self.indices), compute)
+
+    def structure_digest(self) -> bytes:
+        """sha256 over ``shape``, ``indptr`` and ``indices``, memoized.
+
+        Two matrices with the same digest have the same sparsity
+        structure, whatever their values: ``data`` is left out.  Phase I
+        keys its threshold memo on it
+        (:func:`repro.core.threshold.select_threshold`).  Like the other
+        memos, rebinding ``indptr``/``indices`` recomputes it; editing
+        them in place does not.
+        """
+
+        def compute() -> bytes:
+            h = hashlib.sha256()
+            header = (self.nrows, self.ncols, self.indptr.size, self.indices.size)
+            h.update(np.asarray(header, dtype=np.int64).tobytes())
+            for arr in (self.indptr, self.indices):
+                h.update(np.ascontiguousarray(arr, dtype=INDEX_DTYPE))
+            return h.digest()
+
+        return self._cached("structure_digest", (self.indptr, self.indices), compute)
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views (no copy) of row ``i``'s column indices and values."""

@@ -387,7 +387,13 @@ def run_workqueue_phase(
                 # a paused retry backoff resumes where it left off
                 at = max(at, float(carry.ready_at[kind]))
             _schedule(kind, at)
-    engine.run()
+    try:
+        engine.run()
+    finally:
+        # ``steps`` and the ``step``/``_schedule`` closures refer to each
+        # other; breaking the cycle lets refcounting free the run's state
+        # (executor, run state, COO parts) as soon as the caller drops it
+        steps.clear()
     _flush_metrics()
     if outcome.stopped is None and queue.has_work() and deadline_parked - dead:
         # every living device parked at the deadline with work remaining

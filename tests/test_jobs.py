@@ -6,10 +6,12 @@ parsing, the symbolic memory estimate, checkpoint/resume bit-identity
 from every stage (fresh, post-Phase-I, post-Phase-II, mid-Phase-III,
 with and without fault schedules — including a Hypothesis property over
 kill points and cadences), deadline exhaustion + resume, memory-budget
-fallbacks, and the ``python -m repro run`` CLI end to end with a real
-SIGKILL between checkpoints.
+fallbacks, finished runs leaving no reference cycles, and the
+``python -m repro run`` CLI end to end with a real SIGKILL between
+checkpoints.
 """
 
+import gc
 import json
 import os
 import shutil
@@ -425,6 +427,38 @@ class TestMemoryBudget:
         assert ctx["budget_bytes"] == 32
         assert ctx["required_bytes"] > 32
         assert "row" in ctx
+
+
+class TestNoReferenceCycles:
+    """A finished run is freed by refcounting alone: nothing it built
+    (executor closures, run state, COO parts) waits in a reference cycle
+    for the cyclic collector, so peak memory does not hang on GC timing."""
+
+    @staticmethod
+    def garbage_after(run) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("variant", ["plain", "mem_budget", "faulted"])
+    def test_hhcpu_multiply(self, matrix, variant):
+        kwargs = {
+            "plain": {},
+            "mem_budget": {
+                "mem_budget_bytes": estimate_intermediate_bytes(matrix, matrix) // 4
+            },
+            "faulted": {"faults": FAULTY},
+        }[variant]
+        assert self.garbage_after(lambda: reference_result(matrix, **kwargs)) == 0
+
+    def test_job_runner_with_mid_phase_checkpoints(self, matrix, tmp_path):
+        runner = make_runner(matrix, tmp_path / "ck", faults=FAULTY)
+        assert self.garbage_after(runner.run) == 0
+        assert len(list_checkpoints(tmp_path / "ck")) >= 4  # mid-Phase-III ones too
 
 
 class TestRunCli:
