@@ -33,10 +33,10 @@ cols, vals)`` with unique rows per part — so neither the flat path nor
 the merge ever materialises a per-tuple row-id array for the hub rows.
 
 On the hub-stress workload this beats the single-kernel numpy hash path
-by ≥1.3x median (bench-gated): hub rows stop paying the stable-sort in
-``ordered_segment_sum`` — at dense fill the flat buffer scatter plus a
-linear sweep is cheaper than sorting the expansion — and short rows
-stop being dragged through hub-sized temporaries.
+by ≥1.3x median (bench-gated): hub rows reduce in one flat buffer
+scatter plus a linear sweep instead of the hash path's per-block
+accumulator, and short rows stop being dragged through hub-sized
+temporaries.
 """
 
 from __future__ import annotations

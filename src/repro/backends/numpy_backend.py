@@ -3,7 +3,7 @@
 Binds the raw PR-4 segment-reduction implementations directly (not the
 package-level dispatch wrappers, which would recurse back into the
 registry).  All three spmm kernels accumulate through
-:func:`repro.kernels.esc.ordered_segment_sum`, which preserves k-major
+:func:`repro.kernels.esc.accumulate_rows`, which preserves k-major
 stream order, so the backend is ``ordered`` — bit-identical to the
 scalar references and scipy.
 """

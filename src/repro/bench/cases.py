@@ -13,7 +13,7 @@ A case binds one workload to one code path under test.  Two kinds:
 Every case is **verified**: after timing, its result is compared
 bit-for-bit against ``scipy.sparse`` on the same operands.  The
 vectorised kernels accumulate intermediate products in k-major stream
-order (see :func:`repro.kernels.esc.ordered_segment_sum`), the same
+order (see :func:`repro.kernels.esc.accumulate_rows`), the same
 order scipy's ``csr_matmat`` uses, so exact equality is the contract —
 a verification failure fails the bench run.  The harness relaxes the
 contract to ``allclose`` only where the backend declares it cannot

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.formats.csr import CSRMatrix
 from repro.kernels.symbolic import KernelStats, WorkEstimate, estimate_work, symbolic_nnz
-from repro.kernels.esc import KernelResult, expand, sort_and_compress
+from repro.kernels.esc import KernelResult
 from repro.kernels.spa import DEFAULT_ROW_BLOCK
 from repro.kernels.merge import (
     MergeResult,
@@ -156,8 +156,6 @@ __all__ = [
     "symbolic_nnz",
     "KernelResult",
     "esc_multiply",
-    "expand",
-    "sort_and_compress",
     "spa_multiply",
     "hash_multiply",
     "adaptive_multiply",

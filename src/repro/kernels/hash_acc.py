@@ -6,12 +6,12 @@ auditable, and used by the test suite (alongside ``scipy.sparse``) as
 an oracle for the SPA and ESC kernels.
 
 The scalar ``zip(...tolist())`` loops made this the slowest path in the
-tree, so the default is now a batched numpy **segment reduction**
-(gather → stable sort by (occurrence, column) key → ``np.add.reduceat``,
-the same idiom as the ESC kernel's compress step) that is bit-identical
-to the dictionary walk: the expand stream is k-major per output row,
-the stable sort preserves that order within each (row, column) group,
-and ``reduceat`` sums each group left-to-right exactly as the repeated
+tree, so the default is now a batched numpy reduction over the
+occurrence-keyed product stream through the ESC kernel's row-block
+accumulator (:func:`repro.kernels.esc.accumulate_rows`).  It is
+bit-identical to the dictionary walk: the expand stream is k-major per
+output row, and the accumulator sums each (row, column) group in that
+stream order from +0.0, exactly as the repeated
 ``acc[j] = acc.get(j, 0.0) + av * bv`` did.  The dictionary path is
 retained behind ``slow=True`` for differential testing and as the
 auditable reference.
@@ -24,19 +24,10 @@ import numpy as np
 from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, check_multiply_compatible
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels.esc import KernelResult, ordered_segment_sum
+from repro.kernels.esc import KernelResult, check_row_mask, row_product
 from repro.kernels.symbolic import KernelStats, reuse_curve
 from repro.obs.metrics import METRICS
 from repro.util.errors import ShapeError
-
-
-def _check_mask(b: CSRMatrix, b_row_mask) -> np.ndarray | None:
-    if b_row_mask is None:
-        return None
-    mask = np.asarray(b_row_mask, dtype=bool)
-    if mask.shape != (b.nrows,):
-        raise ShapeError(f"b_row_mask must have shape ({b.nrows},), got {mask.shape}")
-    return mask
 
 
 def hash_multiply(
@@ -55,7 +46,7 @@ def hash_multiply(
     bit-identical to it and is property-tested so.
     """
     check_multiply_compatible(a, b)
-    mask = _check_mask(b, b_row_mask)
+    mask = check_row_mask(b, b_row_mask)
     if slow:
         return _hash_multiply_slow(a, b, a_rows, mask)
     return _hash_multiply_fast(a, b, a_rows, mask)
@@ -67,68 +58,24 @@ def _hash_multiply_fast(
     a_rows: np.ndarray | None,
     mask: np.ndarray | None,
 ) -> KernelResult:
-    """Batched segment-reduce formulation of the dictionary walk."""
+    """The dictionary walk as one row-block reduction over occurrences."""
     rows_iter = (
         np.arange(a.nrows, dtype=INDEX_DTYPE)
         if a_rows is None
         else np.asarray(a_rows, dtype=INDEX_DTYPE)
     )
-    if rows_iter.size and (rows_iter.min() < 0 or rows_iter.max() >= a.nrows):
-        raise ShapeError("a_rows selection out of range")
-
-    # gather the selected A entries in occurrence order (rows_iter may
-    # repeat a row; each occurrence emits its own output run, exactly
-    # like the reference loop)
-    counts = a.row_nnz()[rows_iter]
-    total_a = int(counts.sum())
-    seg_starts = np.zeros(rows_iter.size, dtype=INDEX_DTYPE)
-    if rows_iter.size:
-        np.cumsum(counts[:-1], out=seg_starts[1:])
-    ramp = np.arange(total_a, dtype=INDEX_DTYPE) - np.repeat(seg_starts, counts)
-    sel = np.repeat(a.indptr[rows_iter], counts) + ramp
-    pos = np.repeat(np.arange(rows_iter.size, dtype=INDEX_DTYPE), counts)
-    ks = a.indices[sel]
-    avals = a.data[sel]
-    if mask is not None:
-        keep = mask[ks]
-        pos, ks, avals = pos[keep], ks[keep], avals[keep]
-    a_entries = int(ks.size)
-    b_row_refs = np.bincount(ks, minlength=b.nrows).astype(INDEX_DTYPE)
-
-    # expand: one tuple per intermediate product, k-major per occurrence
-    b_sizes = b.row_nnz()
-    cnt = b_sizes[ks]
-    total = int(cnt.sum())
-    per_occurrence_work = np.bincount(
-        pos, weights=cnt, minlength=rows_iter.size
-    ).astype(INDEX_DTYPE)
-    ncols = INDEX_DTYPE(max(b.ncols, 1))
-    if total:
-        bseg = np.zeros(ks.size, dtype=INDEX_DTYPE)
-        np.cumsum(cnt[:-1], out=bseg[1:])
-        bramp = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(bseg, cnt)
-        src = np.repeat(b.indptr[ks], cnt) + bramp
-        keys = np.repeat(pos, cnt) * ncols + b.indices[src]
-        vals = np.repeat(avals, cnt) * b.data[src]
-        # compress: in-order segment scatter reproduces the
-        # dictionary's accumulation order bit-for-bit
-        ukeys, summed = ordered_segment_sum(keys, vals)
-        out_rows = rows_iter[ukeys // ncols]
-        out_cols = ukeys % ncols
-        out_vals = summed
-    else:
-        out_rows = np.empty(0, dtype=INDEX_DTYPE)
-        out_cols = np.empty(0, dtype=INDEX_DTYPE)
-        out_vals = np.empty(0, dtype=VALUE_DTYPE)
-
-    shape = (a.nrows, b.ncols)
-    result = COOMatrix(shape, out_rows, out_cols, out_vals, validate=False)
+    # output-row ids are occurrence positions: a repeated row emits one
+    # run per occurrence, exactly like the reference loop
+    prod = row_product(a, b, rows_iter, mask, merge_repeats=False)
+    result = COOMatrix(
+        (a.nrows, b.ncols), rows_iter[prod.ids], prod.cols, prod.vals, validate=False
+    )
     stats = KernelStats.for_product(
-        a_entries,
-        per_occurrence_work,
+        prod.a_entries,
+        prod.work,
         result.nnz,
         result.nnz,
-        b_reuse_curve=reuse_curve(b_row_refs, b_sizes),
+        b_reuse_curve=reuse_curve(prod.b_row_refs, b.row_nnz()),
     )
     if METRICS.enabled:
         # every intermediate product performs exactly one dict probe

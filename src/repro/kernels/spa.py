@@ -16,11 +16,12 @@ Two execution paths share the same semantics:
 - ``row_block=None`` — the reference per-row Python loop (one dense
   scatter + targeted reset per output row);
 - ``row_block=k`` (default ``DEFAULT_ROW_BLOCK``) — a **batched
-  multi-row fast path** that gathers the expanded products of ``k``
-  A-rows in one fancy-index scatter, then segment-reduces them with a
-  stable (occurrence, column) key sort.  Because both paths accumulate
-  each output column's intermediate products in k-major order, the two
-  are bit-identical (property-tested), and both match scipy's SPA.
+  multi-row fast path** that reduces the expanded products of up to
+  ``k`` A-rows at a time through the ESC kernel's row-block accumulator
+  (:func:`repro.kernels.esc.accumulate_rows`).  Because both paths
+  accumulate each output column's intermediate products in k-major
+  order from +0.0, the two are bit-identical (property-tested), and
+  both match scipy's SPA.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, check_multiply_compatible
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels.esc import KernelResult, ordered_segment_sum
+from repro.kernels.esc import KernelResult, check_row_mask, row_product
 from repro.kernels.symbolic import KernelStats, reuse_curve
 from repro.obs.metrics import METRICS
 from repro.util.errors import ShapeError
@@ -56,12 +57,7 @@ def spa_multiply(
     batched scatter (bit-identical results either way).
     """
     check_multiply_compatible(a, b)
-    if b_row_mask is not None:
-        mask = np.asarray(b_row_mask, dtype=bool)
-        if mask.shape != (b.nrows,):
-            raise ShapeError(f"b_row_mask must have shape ({b.nrows},), got {mask.shape}")
-    else:
-        mask = None
+    mask = check_row_mask(b, b_row_mask)
     rows_iter = (
         np.arange(a.nrows, dtype=INDEX_DTYPE)
         if a_rows is None
@@ -187,91 +183,28 @@ def _spa_batched(
     mask: np.ndarray | None,
     row_block: int,
 ) -> KernelResult:
-    """Fast path: scatter whole blocks of A-row slices at once.
+    """Fast path: reduce blocks of at most ``row_block`` A rows at once.
 
-    Per block the expanded products are gathered with one fancy index
-    and reduced with a stable (occurrence, column) key sort — the
-    paper's ``PartialOutput`` accumulation order (k-major per row) is
-    preserved, so values are bit-identical to the per-row walk.
+    The occurrence-keyed product stream goes through the ESC kernel's
+    row-block accumulator, which sums each output column in the
+    paper's ``PartialOutput`` order (k-major per row) from +0.0, so
+    values are bit-identical to the per-row walk.
     """
-    b_sizes = b.row_nnz()
-    b_row_refs = np.zeros(b.nrows, dtype=INDEX_DTYPE)
-    a_sizes = a.row_nnz()
-    ncols = INDEX_DTYPE(max(b.ncols, 1))
-    out_rows: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    occ_work = np.zeros(rows_iter.size, dtype=INDEX_DTYPE)
-    a_entries = 0
-    tuples_emitted = 0
-    spa_resets = 0
-    spa_reset_slots = 0
-
-    for lo in range(0, rows_iter.size, row_block):
-        blk = rows_iter[lo : lo + row_block]
-        counts = a_sizes[blk]
-        total_a = int(counts.sum())
-        seg = np.zeros(blk.size, dtype=INDEX_DTYPE)
-        np.cumsum(counts[:-1], out=seg[1:])
-        ramp = np.arange(total_a, dtype=INDEX_DTYPE) - np.repeat(seg, counts)
-        sel = np.repeat(a.indptr[blk], counts) + ramp
-        pos = np.repeat(np.arange(blk.size, dtype=INDEX_DTYPE), counts)
-        ks = a.indices[sel]
-        avals = a.data[sel]
-        if mask is not None:
-            keep = mask[ks]
-            pos, ks, avals = pos[keep], ks[keep], avals[keep]
-        a_entries += int(ks.size)
-        if ks.size == 0:
-            continue
-        b_row_refs += np.bincount(ks, minlength=b.nrows).astype(INDEX_DTYPE)
-        cnt = b_sizes[ks]
-        total = int(cnt.sum())
-        occ_work[lo : lo + blk.size] = np.bincount(
-            pos, weights=cnt, minlength=blk.size
-        ).astype(INDEX_DTYPE)
-        if total == 0:
-            continue
-        bseg = np.zeros(ks.size, dtype=INDEX_DTYPE)
-        np.cumsum(cnt[:-1], out=bseg[1:])
-        bramp = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(bseg, cnt)
-        src = np.repeat(b.indptr[ks], cnt) + bramp
-        keys = np.repeat(pos, cnt) * ncols + b.indices[src]
-        vals = np.repeat(avals, cnt) * b.data[src]
-        # in-order segment scatter: same accumulation order (and +0.0
-        # seed) as the dense PartialOutput walk, hence bit-identical
-        ukeys, summed = ordered_segment_sum(keys, vals)
-        upos = ukeys // ncols
-        # stats bookkeeping equals the per-row walk's: one conceptual
-        # accumulator reset per row that produced work, one cleared slot
-        # per emitted tuple
-        worked = np.unique(upos)
-        spa_resets += int(worked.size)
-        spa_reset_slots += int(ukeys.size)
-        tuples_emitted += int(ukeys.size)
-        out_rows.append(blk[upos])
-        out_cols.append(ukeys % ncols)
-        out_vals.append(summed)
-
-    shape = (a.nrows, b.ncols)
-    if out_rows:
-        result = COOMatrix(
-            shape,
-            np.concatenate(out_rows),
-            np.concatenate(out_cols),
-            np.concatenate(out_vals),
-            validate=False,
-        )
-    else:
-        result = COOMatrix.empty(shape)
+    prod = row_product(a, b, rows_iter, mask, merge_repeats=False, max_rows=row_block)
+    result = COOMatrix(
+        (a.nrows, b.ncols), rows_iter[prod.ids], prod.cols, prod.vals, validate=False
+    )
+    # stats bookkeeping equals the per-row walk's: one conceptual
+    # accumulator reset per row that produced work, one cleared slot
+    # per emitted tuple
     return _finish(
         a, b, rows_iter,
         result=result,
-        a_entries=a_entries,
-        row_work=occ_work,
-        tuples_emitted=tuples_emitted,
-        spa_resets=spa_resets,
-        spa_reset_slots=spa_reset_slots,
-        b_row_refs=b_row_refs,
-        b_sizes=b_sizes,
+        a_entries=prod.a_entries,
+        row_work=prod.work,
+        tuples_emitted=result.nnz,
+        spa_resets=int(np.count_nonzero(prod.work)),
+        spa_reset_slots=result.nnz,
+        b_row_refs=prod.b_row_refs,
+        b_sizes=b.row_nnz(),
     )
