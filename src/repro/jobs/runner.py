@@ -16,11 +16,13 @@ What makes bit-identity possible (and what the checkpoint captures):
   order, so preserving part *completion order* across the pause
   preserves every floating-point summation order;
 - the snapshot holds the device/PCIe clocks, the full trace, the
-  thresholds, the per-part triplet buffers in completion order, the
-  workqueue cursors + dequeue log, the scheduler carry (retry budgets
-  and backoff deadlines), and the fault injector's RNG state — the
-  partition, contexts, and queue *contents* are deterministically
-  recomputed instead of stored.
+  thresholds, the workqueue cursors + dequeue log, the scheduler carry
+  (retry budgets and backoff deadlines), and the fault injector's RNG
+  state — the partition, contexts, and queue *contents* are
+  deterministically recomputed instead of stored;
+- the parts are written once: each snapshot takes only the Phase II /
+  Phase III parts completed since the previous one, and its chain of
+  earlier files gives back all of them in completion order.
 
 Resource guardrails: ``mem_budget_bytes`` flows to the algorithm's
 chunked Phase II / grouped Phase IV fallbacks, and ``deadline_s`` is a
@@ -46,14 +48,13 @@ from repro.backends import resolve_spec
 from repro.core.hhcpu import HHCPU, HHCPURunState
 from repro.core.result import SpmmResult
 from repro.faults.spec import FaultSpec
-from repro.formats.coo import COOMatrix
 from repro.formats.validation import ensure_canonical
 from repro.hardware.platform import HeteroPlatform, default_platform
 from repro.hardware.trace import TraceEvent
 from repro.hetero.partition import partition_rows
 from repro.hetero.scheduler import Phase3Carry, Phase3Outcome
 from repro.hetero.workqueue import DEFAULT_CPU_ROWS, DEFAULT_GPU_ROWS
-from repro.jobs.snapshot import find_resumable, write_checkpoint
+from repro.jobs.snapshot import Chain, Resumable, find_resumable, write_checkpoint
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.util.errors import FaultError, ResourceExhausted
@@ -149,6 +150,10 @@ class JobRunner:
         self.fingerprint = self._fingerprint()
         self._seq = 0
         self._written = 0
+        #: the job's part-holding checkpoints, and how many Phase II /
+        #: Phase III parts they already hold
+        self._chain = Chain()
+        self._durable = (0, 0)
         self._crash_checkpoints = (
             frozenset(faults.crash_checkpoints()) if faults else frozenset()
         )
@@ -211,7 +216,7 @@ class JobRunner:
         )
         if found is None:
             st = algo.begin(self.a, self.b)
-            self._seq = 0
+            self._seq, self._chain, self._durable = 0, Chain(), (0, 0)
             with self._stage("phase1"):
                 algo.run_phase1(st)
             self._checkpoint("phase1", st)
@@ -343,7 +348,7 @@ class JobRunner:
             "t_b": st.t_b,
             "injector": injector.state_dict() if injector is not None else None,
         }
-        arrays: dict[str, np.ndarray] = {}
+        parts = {}
         if stage != "phase1":
             carry = st.outcome.carry
             state.update(
@@ -359,22 +364,19 @@ class JobRunner:
                     if carry is not None
                     else None
                 ),
-                n_phase2_parts=len(st.phase2_parts),
-                n_phase3_parts=len(st.outcome.parts),
             )
-            for prefix, parts in (("p2", st.phase2_parts), ("p3", st.outcome.parts)):
-                for i, part in enumerate(parts):
-                    arrays[f"{prefix}_{i}_row"] = part.row
-                    arrays[f"{prefix}_{i}_col"] = part.col
-                    arrays[f"{prefix}_{i}_data"] = part.data
+            n2, n3 = self._durable
+            parts = {"p2": st.phase2_parts[n2:], "p3": st.outcome.parts[n3:]}
         path = write_checkpoint(
             self.checkpoint_dir,
             seq=self._seq,
             stage=stage,
             fingerprint=self.fingerprint,
             state=state,
-            arrays=arrays,
+            parts=parts,
+            chain=self._chain,
         )
+        self._durable = (len(st.phase2_parts), len(st.outcome.parts))
         self._seq += 1
         self._written += 1
         if EVENTS.enabled:
@@ -411,9 +413,9 @@ class JobRunner:
 
     # -- resume --------------------------------------------------------------
     def _restore(
-        self, algo: HHCPU, found: tuple[dict, dict[str, np.ndarray]]
+        self, algo: HHCPU, found: Resumable
     ) -> tuple[HHCPURunState, Phase3Carry | None, str]:
-        meta, arrays = found
+        meta, parts, self._chain = found
         state = meta["state"]
         stage = meta["stage"]
         st = algo.begin(self.a, self.b)
@@ -433,28 +435,14 @@ class JobRunner:
         algo.make_contexts(st)
         carry: Phase3Carry | None = None
         if stage != "phase1":
-            shape = (st.a.nrows, st.b.ncols)
-
-            def parts_of(prefix: str, count: int) -> list[COOMatrix]:
-                return [
-                    COOMatrix(
-                        shape,
-                        arrays[f"{prefix}_{i}_row"],
-                        arrays[f"{prefix}_{i}_col"],
-                        arrays[f"{prefix}_{i}_data"],
-                        validate=False,
-                    )
-                    for i in range(count)
-                ]
-
             st.gpu_tuples = int(state["gpu_tuples"])
             st.phase3_gpu_tuples = int(state["phase3_gpu_tuples"])
-            st.phase2_parts = parts_of("p2", int(state["n_phase2_parts"]))
+            st.phase2_parts = parts.get("p2", [])
             algo.build_queue(st)
             st.queue.load_state(state["queue"])
             o = state["outcome"]
             st.outcome = Phase3Outcome(
-                parts=parts_of("p3", int(state["n_phase3_parts"])),
+                parts=parts.get("p3", []),
                 dead_devices=tuple(o["dead_devices"]),
                 **{f: int(o[f]) for f in _OUTCOME_FIELDS},
             )
@@ -464,6 +452,7 @@ class JobRunner:
                     ready_at=dict(state["carry"]["ready_at"]),
                 )
         self._seq = int(meta["seq"]) + 1
+        self._durable = (len(st.phase2_parts), len(st.outcome.parts))
         if METRICS.enabled:
             METRICS.inc("jobs.resume.count")
             METRICS.set_gauge("jobs.resume.from_seq", int(meta["seq"]))

@@ -169,11 +169,11 @@ def sort_reduce(
     keys = keys[order]
     vals = vals[order]
     head = mark_master_indices(keys)
-    masters = np.flatnonzero(head)
-    ukeys = keys[masters]
-    summed = vals[masters]
+    ukeys = keys[head]
+    summed = vals[head]
+    masters = ukeys.size
     max_run = 1
-    if masters.size < tuples_in:
+    if masters < tuples_in:
         dups = np.flatnonzero(~head)
         # masters at or before each duplicate, minus one: its run's slot
         run_of = dups - np.arange(1, dups.size + 1, dtype=INDEX_DTYPE)
@@ -190,10 +190,10 @@ def sort_reduce(
     matrix = CSRMatrix((nrows, ncols), indptr, cols, summed, validate=False)
     stats = MergeStats(
         tuples_in=tuples_in,
-        masters=int(masters.size),
+        masters=masters,
         max_run=max_run,
         sort_ops=int(tuples_in * max(1.0, np.log2(tuples_in))),
-        reduce_ops=int(tuples_in - masters.size),
+        reduce_ops=tuples_in - masters,
     )
     return MergeResult(matrix=matrix, stats=stats)
 

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.hhcpu import HHCPU
 from repro.faults import FaultSpec, RetryPolicy, UnitError
+from repro.formats.coo import COOMatrix
 from repro.hardware.platform import platform_for_scale
 from repro.jobs import (
     JobRunner,
@@ -38,7 +39,7 @@ from repro.jobs import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.jobs.snapshot import checkpoint_path
+from repro.jobs.snapshot import SCHEMA, checkpoint_path
 from repro.obs.metrics import METRICS
 from repro.obs.spans import observed
 from repro.scalefree import powerlaw_matrix
@@ -135,38 +136,37 @@ class TestSnapshotFormat:
     STATE = {"clocks": {"cpu": 1.25, "gpu": 0.5}, "note": "x"}
 
     def write_one(self, tmp_path, seq=0, stage="phase2", fp="fp-abc"):
-        arrays = {
-            "p2_0_row": np.array([0, 1, 1], dtype=np.int64),
-            "p2_0_data": np.array([1.0, 2.5, -3.0]),
-        }
+        part = COOMatrix((2, 3), [0, 1, 1], [2, 0, 1], [1.0, 2.5, -3.0])
         path = write_checkpoint(
             tmp_path, seq=seq, stage=stage, fingerprint=fp,
-            state=self.STATE, arrays=arrays,
+            state=self.STATE, parts={"p2": [part]},
         )
-        return path, arrays
+        return path, part
 
     def test_round_trip(self, tmp_path):
-        path, arrays = self.write_one(tmp_path)
+        path, part = self.write_one(tmp_path)
         assert path == checkpoint_path(tmp_path, 0, "phase2")
-        meta, loaded = read_checkpoint(path)
-        assert meta["schema"] == "repro-ckpt/1"
+        meta, _ = read_checkpoint(path)
+        assert meta["schema"] == SCHEMA
         assert meta["seq"] == 0 and meta["stage"] == "phase2"
         assert meta["fingerprint"] == "fp-abc"
         assert meta["state"] == self.STATE
-        for name, arr in arrays.items():
-            np.testing.assert_array_equal(loaded[name], arr)
+        (loaded,) = find_resumable(tmp_path, "fp-abc").parts["p2"]
+        for name in ("row", "col", "data"):
+            got, want = getattr(loaded, name), getattr(part, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_float_state_is_bit_exact(self, tmp_path):
         value = 0.1 + 0.2  # not representable; repr round-trips exactly
         write_checkpoint(tmp_path, seq=0, stage="phase1", fingerprint="f",
-                         state={"clock": value}, arrays={})
+                         state={"clock": value})
         meta, _ = read_checkpoint(checkpoint_path(tmp_path, 0, "phase1"))
         assert meta["state"]["clock"].hex() == value.hex()
 
     def test_meta_name_reserved(self, tmp_path):
         with pytest.raises(ValueError, match="__meta__"):
             write_checkpoint(tmp_path, seq=0, stage="s", fingerprint="f",
-                             state={}, arrays={"__meta__": np.zeros(1)})
+                             state={}, parts={"__meta__": [COOMatrix.empty((1, 1))]})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointCorrupt) as exc:
@@ -212,8 +212,7 @@ class TestSnapshotFormat:
         newest, _ = self.write_one(tmp_path, seq=1)
         newest.write_bytes(b"garbage")
         with observed():
-            meta, _ = find_resumable(tmp_path, "fp-abc")
-            assert meta["seq"] == 0
+            assert find_resumable(tmp_path, "fp-abc").meta["seq"] == 0
             assert METRICS.counter("jobs.checkpoint.corrupt") == 1
 
     def test_all_corrupt_reraises(self, tmp_path):
